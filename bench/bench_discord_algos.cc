@@ -1,6 +1,7 @@
 // Design-choice ablations for the discord substrate (DESIGN.md §4):
-// MASS (FFT) versus naive distance profiles, and DRAG phase-2 linear scan
-// versus the Orchard-ordered scan that powers MERLIN++.
+// MASS (FFT) versus naive distance profiles, DRAG phase-2 linear scan
+// versus the Orchard-ordered scan that powers MERLIN++, and MERLIN versus
+// the all-lengths sweep on TriAD's restricted region.
 
 #include <benchmark/benchmark.h>
 
@@ -127,6 +128,17 @@ void BM_MerlinRestrictedRegion(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MerlinRestrictedRegion);
+
+// The same region through the all-lengths sweep the detector runs
+// (identical discord distances; ARCHITECTURE.md §7).
+void BM_SweepRestrictedRegion(benchmark::State& state) {
+  const std::vector<double> x = Workload(8000);
+  const std::vector<double> region(x.begin() + 3800, x.begin() + 4300);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(SweepDiscords(region, 10, 120, 2));
+  }
+}
+BENCHMARK(BM_SweepRestrictedRegion);
 
 // A noisier series (sigma 0.1) with the anomaly sliced out: with no true
 // discord present, nearest-neighbour distances bunch together, the range

@@ -209,6 +209,45 @@ void BM_ZNormDistRow(benchmark::State& state) {
 }
 BENCHMARK(BM_ZNormDistRow)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
+// The all-lengths discord sweep's two row kernels, at a long_period-sized
+// row (1350-point region, m = 4).
+void BM_DiagonalDotUpdate(benchmark::State& state) {
+  simd::Level level;
+  if (!SetLevelOrSkip(state, &level)) return;
+  const int64_t n = 1343;
+  const std::vector<double> series = RandomDoubles(n + 8, 16);
+  std::vector<double> q = RandomDoubles(n, 17);
+  simd::ScopedForceLevel force(level);
+  for (auto _ : state) {
+    simd::DiagonalDotUpdate(q.data(), n, series[0], series.data(), series[3],
+                            series.data() + 3);
+    benchmark::DoNotOptimize(q.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_DiagonalDotUpdate)->Arg(0)->Arg(1)->Unit(benchmark::kNanosecond);
+
+void BM_SweepCorrRow(benchmark::State& state) {
+  simd::Level level;
+  if (!SetLevelOrSkip(state, &level)) return;
+  const int64_t n = 1343;
+  const std::vector<double> q = RandomDoubles(n, 18);
+  const std::vector<double> mu = RandomDoubles(n, 19);
+  const std::vector<double> inv_sd(static_cast<size_t>(n), 0.8);
+  const std::vector<double> penalty(static_cast<size_t>(n), 0.0);
+  std::vector<double> best(static_cast<size_t>(n), -1.0);
+  simd::ScopedForceLevel force(level);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(simd::SweepCorrRow(
+        q.data(), mu.data(), inv_sd.data(), penalty.data(), 0.2, 1.1, 0.25,
+        best.data(), n));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_SweepCorrRow)->Arg(0)->Arg(1)->Unit(benchmark::kNanosecond);
+
 // ---------- float32 inference tier (ARCHITECTURE.md §12) ----------
 // A/B comparators for the f64 kernels above: same shapes, same access
 // pattern, single-precision lanes. Acceptance target (ISSUE): >= 1.5x over

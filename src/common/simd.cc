@@ -126,6 +126,46 @@ void SlidingDotUpdate(double* qt, int64_t n, double drop, const double* tail,
   }
 }
 
+void DiagonalDotUpdate(double* q, int64_t n, double drop, const double* tail,
+                       double add, const double* head) {
+  for (int64_t k = 0; k < n; ++k) {
+    q[k] = q[k] + (add * head[k] - drop * tail[k]);
+  }
+}
+
+// Per-element correlation of the discord sweep; the AVX2 tier runs the
+// same operation sequence lane by lane.
+inline double SweepCorr(double q, double mu, double inv_sd, double penalty,
+                        double mu_i, double inv_i, double inv_m) {
+  return ((q * inv_m - mu_i * mu) * inv_i) * inv_sd + penalty;
+}
+
+// a < b ? b : a — the operand order of vmaxpd(b, a), NaN and ±0 included.
+inline double MaxOf(double a, double b) { return a < b ? b : a; }
+
+double SweepCorrRow(const double* q, const double* mu, const double* inv_sd,
+                    const double* penalty, double mu_i, double inv_i,
+                    double inv_m, double* best, int64_t n) {
+  const double neg_inf = -std::numeric_limits<double>::infinity();
+  double part[4] = {neg_inf, neg_inf, neg_inf, neg_inf};
+  int64_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    for (int64_t l = 0; l < 4; ++l) {
+      const double c = SweepCorr(q[k + l], mu[k + l], inv_sd[k + l],
+                                 penalty[k + l], mu_i, inv_i, inv_m);
+      best[k + l] = MaxOf(best[k + l], c);
+      part[l] = MaxOf(part[l], c);
+    }
+  }
+  for (; k < n; ++k) {
+    const double c =
+        SweepCorr(q[k], mu[k], inv_sd[k], penalty[k], mu_i, inv_i, inv_m);
+    best[k] = MaxOf(best[k], c);
+    part[0] = MaxOf(part[0], c);
+  }
+  return MaxOf(MaxOf(part[0], part[1]), MaxOf(part[2], part[3]));
+}
+
 void ZNormDistRow(const double* dot, const double* mu, const double* sd,
                   double mu_q, double sd_q, int64_t m, double* out,
                   int64_t n) {
@@ -602,6 +642,56 @@ TRIAD_TARGET_AVX2 void SlidingDotUpdate(double* qt, int64_t n, double drop,
   }
 }
 
+TRIAD_TARGET_AVX2 void DiagonalDotUpdate(double* q, int64_t n, double drop,
+                                         const double* tail, double add,
+                                         const double* head) {
+  const __m256d dropv = _mm256_set1_pd(drop);
+  const __m256d addv = _mm256_set1_pd(add);
+  int64_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    const __m256d step =
+        _mm256_sub_pd(_mm256_mul_pd(addv, _mm256_loadu_pd(head + k)),
+                      _mm256_mul_pd(dropv, _mm256_loadu_pd(tail + k)));
+    _mm256_storeu_pd(q + k, _mm256_add_pd(_mm256_loadu_pd(q + k), step));
+  }
+  scalar::DiagonalDotUpdate(q + k, n - k, drop, tail + k, add, head + k);
+}
+
+TRIAD_TARGET_AVX2 double SweepCorrRow(const double* q, const double* mu,
+                                      const double* inv_sd,
+                                      const double* penalty, double mu_i,
+                                      double inv_i, double inv_m, double* best,
+                                      int64_t n) {
+  const __m256d inv_mv = _mm256_set1_pd(inv_m);
+  const __m256d mu_iv = _mm256_set1_pd(mu_i);
+  const __m256d inv_iv = _mm256_set1_pd(inv_i);
+  // vmaxpd(c, p) = c > p ? c : p, the scalar MaxOf(p, c) per lane.
+  __m256d part = _mm256_set1_pd(-std::numeric_limits<double>::infinity());
+  int64_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    const __m256d c = _mm256_add_pd(
+        _mm256_mul_pd(
+            _mm256_mul_pd(_mm256_sub_pd(
+                              _mm256_mul_pd(_mm256_loadu_pd(q + k), inv_mv),
+                              _mm256_mul_pd(mu_iv, _mm256_loadu_pd(mu + k))),
+                          inv_iv),
+            _mm256_loadu_pd(inv_sd + k)),
+        _mm256_loadu_pd(penalty + k));
+    _mm256_storeu_pd(best + k, _mm256_max_pd(c, _mm256_loadu_pd(best + k)));
+    part = _mm256_max_pd(c, part);
+  }
+  alignas(32) double lanes[4];
+  _mm256_store_pd(lanes, part);
+  for (; k < n; ++k) {
+    const double c = scalar::SweepCorr(q[k], mu[k], inv_sd[k], penalty[k],
+                                       mu_i, inv_i, inv_m);
+    best[k] = scalar::MaxOf(best[k], c);
+    lanes[0] = scalar::MaxOf(lanes[0], c);
+  }
+  return scalar::MaxOf(scalar::MaxOf(lanes[0], lanes[1]),
+                       scalar::MaxOf(lanes[2], lanes[3]));
+}
+
 TRIAD_TARGET_AVX2 void ZNormDistRow(const double* dot, const double* mu,
                                     const double* sd, double mu_q, double sd_q,
                                     int64_t m, double* out, int64_t n) {
@@ -792,6 +882,11 @@ struct KernelTable {
                   const double*);
   void (*znorm)(const double*, const double*, const double*, double, double,
                 int64_t, double*, int64_t);
+  void (*diag_update)(double*, int64_t, double, const double*, double,
+                      const double*);
+  double (*sweep_corr)(const double*, const double*, const double*,
+                       const double*, double, double, double, double*,
+                       int64_t);
   float (*dot_f32)(const float*, const float*, int64_t);
   void (*dot_pair_f32)(const float*, const float*, const float*, int64_t,
                        float*);
@@ -808,6 +903,7 @@ constexpr KernelTable kScalarTable = {
     scalar::CorrRowAccum,       scalar::DotPair,
     scalar::AddRelu,            scalar::AddReluMask,
     scalar::ReluMask,           scalar::SlidingDotUpdate,   scalar::ZNormDistRow,
+    scalar::DiagonalDotUpdate,  scalar::SweepCorrRow,
     scalar::DotF32,             scalar::DotPairF32,
     scalar::SlidingDotUpdateF32,                            scalar::ZNormDistRowF32,
 };
@@ -820,6 +916,7 @@ constexpr KernelTable kAvx2Table = {
     avx2::CorrRowAccum,      avx2::DotPair,
     avx2::AddRelu,           avx2::AddReluMask,
     avx2::ReluMask,          avx2::SlidingDotUpdate,  avx2::ZNormDistRow,
+    avx2::DiagonalDotUpdate, avx2::SweepCorrRow,
     avx2::DotF32,            avx2::DotPairF32,
     avx2::SlidingDotUpdateF32,                        avx2::ZNormDistRowF32,
 };
@@ -1004,6 +1101,18 @@ void ZNormDistRow(const double* dot, const double* mu, const double* sd,
                   double mu_q, double sd_q, int64_t m, double* out,
                   int64_t n) {
   TableFor(ActiveLevel()).znorm(dot, mu, sd, mu_q, sd_q, m, out, n);
+}
+
+void DiagonalDotUpdate(double* q, int64_t n, double drop, const double* tail,
+                       double add, const double* head) {
+  TableFor(ActiveLevel()).diag_update(q, n, drop, tail, add, head);
+}
+
+double SweepCorrRow(const double* q, const double* mu, const double* inv_sd,
+                    const double* penalty, double mu_i, double inv_i,
+                    double inv_m, double* best, int64_t n) {
+  return TableFor(ActiveLevel())
+      .sweep_corr(q, mu, inv_sd, penalty, mu_i, inv_i, inv_m, best, n);
 }
 
 float DotF32(const float* a, const float* b, int64_t n) {

@@ -170,6 +170,31 @@ void Relu(const float* x, float* out, int64_t n);
 void SlidingDotUpdate(double* qt, int64_t n, double drop, const double* tail,
                       double add, const double* head);
 
+/// \brief Diagonal dot-product step of the all-lengths discord sweep
+/// (discord/sweep.cc): every diagonal's running dot product slides one row.
+///
+///   q[k] = q[k] + (add * head[k] - drop * tail[k])   for k in [0, n)
+///
+/// One independent mul/mul/sub/add chain per element, so the vector tiers
+/// are bit-identical to the scalar loop.
+void DiagonalDotUpdate(double* q, int64_t n, double drop, const double* tail,
+                       double add, const double* head);
+
+/// \brief Correlation row of the all-lengths discord sweep: row i's Pearson
+/// correlations against windows j = i + k, folded into the per-column best.
+///
+///   c[k]    = ((q[k] * inv_m - mu_i * mu[k]) * inv_i) * inv_sd[k]
+///             + penalty[k]
+///   best[k] = best[k] < c[k] ? c[k] : best[k]
+///
+/// Returns max_k c[k] (-inf for n == 0). The row maximum keeps four
+/// interleaved partial maxima (k mod 4), folded as max(max(p0, p1),
+/// max(p2, p3)) at every tier, so tiers agree bit for bit, the sign of a
+/// zero included.
+double SweepCorrRow(const double* q, const double* mu, const double* inv_sd,
+                    const double* penalty, double mu_i, double inv_i,
+                    double inv_m, double* best, int64_t n);
+
 /// \brief Fused multi-tap row accumulation — the inner kernel of Conv1d
 /// forward and the dense matmul.
 ///
@@ -317,6 +342,11 @@ void SlidingDotUpdate(double* qt, int64_t n, double drop, const double* tail,
                       double add, const double* head);
 void ZNormDistRow(const double* dot, const double* mu, const double* sd,
                   double mu_q, double sd_q, int64_t m, double* out, int64_t n);
+void DiagonalDotUpdate(double* q, int64_t n, double drop, const double* tail,
+                       double add, const double* head);
+double SweepCorrRow(const double* q, const double* mu, const double* inv_sd,
+                    const double* penalty, double mu_i, double inv_i,
+                    double inv_m, double* best, int64_t n);
 float DotF32(const float* a, const float* b, int64_t n);
 void DotPairF32(const float* a, const float* b0, const float* b1, int64_t n,
                 float* out2);

@@ -43,7 +43,8 @@ struct TriadConfig {
   // --- detection (Section III-D) ---
   int64_t top_windows_per_domain = 1;  ///< Z in the paper
   /// Context padding added before and after the selected window prior to the
-  /// MERLIN search, in units of the window length.
+  /// discord search, in units of the window length. (The `merlin_*` names
+  /// are kept because checkpoints persist them.)
   double merlin_padding_windows = 1.0;
   int64_t merlin_min_length = 4;
   /// Max discord length in units of the window length (cap also applies from

@@ -303,7 +303,7 @@ Result<DetectionResult> TriadDetector::Detect(
     return Status::InvalidArgument("test series shorter than one window");
   }
   // Cooperative deadline checkpoints (common/deadline.h): one per pipeline
-  // stage, plus one per MERLIN length inside the sweep (discord.cc). A pass
+  // stage, plus one per discord length inside the sweep (sweep.cc). A pass
   // whose budget ran out fails with DeadlineExceeded at the next checkpoint
   // instead of finishing late — recoverable, like a sanitize rejection.
   TRIAD_RETURN_NOT_OK(CheckPassDeadline());
@@ -508,7 +508,7 @@ Result<DetectionResult> TriadDetector::Detect(
   result.selected_window = selected;
   result.selection_seconds = selection_span.Stop();
 
-  // ---- stage 3: MERLIN discord search around the selected window ----
+  // ---- stage 3: all-lengths discord sweep around the selected window ----
   TRIAD_RETURN_NOT_OK(CheckPassDeadline());
   trace::TraceSpan discord_span("detector.discord");
   const int64_t w_start = result.window_starts[static_cast<size_t>(selected)];
@@ -552,10 +552,10 @@ Result<DetectionResult> TriadDetector::Detect(
       const std::vector<double> region(
           series.begin() + result.search_begin,
           series.begin() + result.search_end);
-      auto merlin = discord::Merlin(region, config_.merlin_min_length,
-                                    max_len, config_.merlin_length_step);
-      TRIAD_RETURN_NOT_OK(merlin.status());
-      fresh = std::move(merlin).value();
+      auto sweep = discord::SweepDiscords(region, config_.merlin_min_length,
+                                          max_len, config_.merlin_length_step);
+      TRIAD_RETURN_NOT_OK(sweep.status());
+      fresh = std::move(sweep).value();
       if (memo != nullptr) {
         if (memo->merlin.size() >= DetectMemo::kMerlinEntries) {
           auto oldest = std::min_element(
@@ -723,10 +723,10 @@ Result<DetectionResult> TriadDetector::DetectEvents(
             static_cast<double>(window_length_))));
     if (max_len < config_.merlin_min_length) continue;
     TRIAD_RETURN_NOT_OK(CheckPassDeadline());  // one checkpoint per region
-    auto merlin = discord::Merlin(region, config_.merlin_min_length, max_len,
-                                  config_.merlin_length_step);
-    TRIAD_RETURN_NOT_OK(merlin.status());
-    for (discord::Discord d : merlin.value().discords) {
+    auto sweep = discord::SweepDiscords(region, config_.merlin_min_length,
+                                        max_len, config_.merlin_length_step);
+    TRIAD_RETURN_NOT_OK(sweep.status());
+    for (discord::Discord d : sweep.value().discords) {
       d.position += begin;
       result.discords.push_back(d);
     }

@@ -38,7 +38,7 @@ struct DetectionResult {
   std::vector<int64_t> candidate_windows;
   /// The single most suspicious window (index into window_starts).
   int64_t selected_window = -1;
-  /// Padded MERLIN search region, test coordinates (Fig. 7 numerator).
+  /// Padded discord search region, test coordinates (Fig. 7 numerator).
   int64_t search_begin = 0;
   int64_t search_end = 0;
   /// Variable-length discords found in the region, test coordinates.
@@ -91,7 +91,7 @@ struct DetectionResult {
 /// fall back to the plain path and leave the memo untouched.
 ///
 /// Memory stays bounded by the buffer: Detect evicts every key that slid
-/// out of the active window and caps the MERLIN region cache at
+/// out of the active window and caps the discord region cache at
 /// kMerlinEntries. Not thread-safe — one memo belongs to one stream.
 ///
 /// **One memo, one stream.** The global keys identify content only within a
@@ -103,7 +103,7 @@ struct DetectionResult {
 /// the first bind stamps the owning stream's uid and every later bind to a
 /// different uid is a checked programming error (tests/serve_test.cc).
 struct DetectMemo {
-  /// MERLIN region cache entries kept (LRU); regions are small and results
+  /// Discord region cache entries kept (LRU); regions are small and results
   /// are a handful of discords, so this is a few KB. Sized above the number
   /// of interior windows of a large (8-12 window) streaming buffer so every
   /// selected window's region survives its whole residence in the buffer.
@@ -120,8 +120,10 @@ struct DetectMemo {
   /// window start.
   std::unordered_map<int64_t, double> deviations;
 
-  /// One cached MERLIN run: the exact result of
-  /// Merlin(stream[begin, end), ...) with discords in region coordinates.
+  /// One cached discord search: the exact result of
+  /// SweepDiscords(stream[begin, end), ...) with discords in region
+  /// coordinates. (The `merlin` names predate the sweep; perfbench and the
+  /// `streaming.merlin_*` counters read them.)
   struct MerlinEntry {
     int64_t begin = 0;  ///< global, inclusive
     int64_t end = 0;    ///< global, exclusive
@@ -129,7 +131,7 @@ struct DetectMemo {
     uint64_t last_used = 0;
   };
   std::vector<MerlinEntry> merlin;
-  uint64_t tick = 0;  ///< LRU clock for the MERLIN entries
+  uint64_t tick = 0;  ///< LRU clock for the region entries
 
   /// The uid of the stream whose content this memo caches; 0 = not yet
   /// bound. Stamped by the first BindStream and immutable afterwards.
@@ -158,7 +160,7 @@ uint64_t NextStreamUid();
 ///   auto result = detector.Detect(test);
 ///
 /// Threading: the inference hot paths — per-domain window encoding,
-/// pairwise-similarity scans, candidate deviation scoring, and the MERLIN
+/// pairwise-similarity scans, candidate deviation scoring, and the discord
 /// length sweep — fan out on DefaultPool() (sized by TRIAD_NUM_THREADS).
 /// Every decomposition uses fixed chunking and ordered reductions, so
 /// detections are bit-identical at any thread count; see ARCHITECTURE.md §3.

@@ -121,7 +121,7 @@ class RollingStatsRing {
 /// changes once ingested. With `StreamingOptions::incremental` on (the
 /// default), the wrapper threads a DetectMemo through
 /// TriadDetector::Detect so window encodings, pairwise dots, candidate
-/// deviations and MERLIN region results are computed once per stream
+/// deviations and discord region results are computed once per stream
 /// position instead of once per pass — O(new points) of fresh work per
 /// hop in steady state. Results are bit-identical to full recompute by
 /// construction; `TRIAD_STREAMING_INCREMENTAL=off` is the escape hatch.

@@ -236,7 +236,9 @@ Phase2Partial RefineCandidateOrchard(const LengthContext& ctx,
           idx.d_ref[static_cast<size_t>(idx.order[static_cast<size_t>(hi)])] -
           c_ref);
     }
-    if (lb_lo <= lb_hi) {
+    // An exhausted side's bound is +inf, which may tie with a +inf bound on
+    // the live side (flat windows have d_ref = inf), so test the index too.
+    if (lo >= 0 && (hi >= ctx.count || lb_lo <= lb_hi)) {
       pick = idx.order[static_cast<size_t>(lo)];
       --lo;
     } else {
@@ -244,7 +246,9 @@ Phase2Partial RefineCandidateOrchard(const LengthContext& ctx,
       ++hi;
     }
     const double lb = std::min(lb_lo, lb_hi);
-    if (lb > nn) break;  // no remaining point can improve the NN
+    // A flat candidate (or a flat reference) has c_ref = inf: its bounds are
+    // inf - inf = NaN or inf and carry no order, so it walks every window.
+    if (std::isfinite(c_ref) && lb > nn) break;  // nothing left can improve
     if (std::llabs(pick - c) < ctx.m) continue;
     const double d = ctx.Distance(c, pick, nn, &out.ops);
     nn = std::min(nn, d);

@@ -9,8 +9,9 @@
 #include "discord/mass.h"
 
 /// \file
-/// Variable-length discord discovery: DRAG, MERLIN, MERLIN++ and the
-/// range-restricted re-search primitive.
+/// Variable-length discord discovery: the all-lengths sweep the detector
+/// runs, the paper's comparison algorithms DRAG, MERLIN and MERLIN++, and
+/// the range-restricted re-search primitive.
 ///
 /// **MassContext reuse rules** (ARCHITECTURE.md §7/§8): every algorithm
 /// here prices its distance work against one MassContext per series —
@@ -96,6 +97,28 @@ Result<MerlinResult> Merlin(const std::vector<double>& series,
 Result<MerlinResult> MerlinPlusPlus(const std::vector<double>& series,
                                     int64_t min_length, int64_t max_length,
                                     int64_t length_step = 1);
+
+/// \brief Exact top discord at every length in [min_length, max_length]
+/// (every `length_step`-th) by one matrix-profile sweep per length — the
+/// detection path's discord search (ARCHITECTURE.md §7).
+///
+/// Each length sweeps the half triangle j >= i + m row by row, keeping one
+/// running dot product per diagonal (updated in O(1) per cell, recomputed
+/// exactly every 64 rows) and the best correlation per row and column; no
+/// range parameter, restarts or reference index. Flat windows (stddev
+/// < 1e-12) never rank and are no window's neighbour. Rows whose swept
+/// value lies within rounding slack of the best are re-ranked by the exact
+/// ZNormDistanceEarlyAbandon scan, so the reported distance is bit-identical
+/// to Merlin's, and exact ties go to the earliest position (the
+/// BruteForceDiscord rule; Merlin may report the later window of a tie).
+/// Lengths with no finite nearest-neighbour distance are skipped. Lengths
+/// run one per pool lane with a deadline checkpoint each, so output is
+/// bit-identical at any TRIAD_NUM_THREADS and SIMD tier. `stats` counts
+/// the re-ranked rows (candidates_after_phase1) and their pointwise work;
+/// restarts and distance_profiles stay 0.
+Result<MerlinResult> SweepDiscords(const std::vector<double>& series,
+                                   int64_t min_length, int64_t max_length,
+                                   int64_t length_step = 1);
 
 /// \brief Exact top discord of length m whose start position lies in
 /// [begin, end) — the changed-region re-search primitive

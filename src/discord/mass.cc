@@ -35,15 +35,30 @@ void BuildPrefixSums(const std::vector<double>& series,
 
 // Derives length-m rolling stats from the prefix sums; the single place
 // this arithmetic lives, so the one-shot and amortized paths cannot drift.
-RollingStats DeriveStats(const std::vector<double>& prefix,
-                         const std::vector<double>& prefix_sq, int64_t n,
-                         int64_t m) {
+//
+// E[x^2] - E[x]^2 over prefix sums leaves an exactly constant window a
+// deviation of rounding noise (~1e-8 for values that do not survive the
+// cancellation), which would slip past the 1e-12 flat rule; a rolling
+// count of unequal neighbours pins those windows to exactly 0. Every other
+// window keeps the prefix-sum bits.
+RollingStats DeriveStats(const std::vector<double>& series,
+                         const std::vector<double>& prefix,
+                         const std::vector<double>& prefix_sq, int64_t m) {
+  const int64_t n = static_cast<int64_t>(series.size());
   TRIAD_CHECK(m >= 1 && m <= n);
   const int64_t count = n - m + 1;
   RollingStats out;
   out.mean.resize(static_cast<size_t>(count));
   out.stddev.resize(static_cast<size_t>(count));
+  // Unequal neighbour pairs (x[k], x[k+1]) inside window i; zero exactly
+  // when the window is constant.
+  auto step = [&series](int64_t k) -> int64_t {
+    return series[static_cast<size_t>(k)] != series[static_cast<size_t>(k) + 1];
+  };
+  int64_t steps = 0;
+  for (int64_t k = 0; k + 1 < m; ++k) steps += step(k);
   for (int64_t i = 0; i < count; ++i) {
+    if (i > 0) steps += step(i + m - 2) - step(i - 1);
     const double sum = prefix[static_cast<size_t>(i + m)] - prefix[static_cast<size_t>(i)];
     const double sum_sq =
         prefix_sq[static_cast<size_t>(i + m)] - prefix_sq[static_cast<size_t>(i)];
@@ -51,7 +66,7 @@ RollingStats DeriveStats(const std::vector<double>& prefix,
     const double var =
         std::max(0.0, sum_sq / static_cast<double>(m) - mu * mu);
     out.mean[static_cast<size_t>(i)] = mu;
-    out.stddev[static_cast<size_t>(i)] = std::sqrt(var);
+    out.stddev[static_cast<size_t>(i)] = steps == 0 ? 0.0 : std::sqrt(var);
   }
   return out;
 }
@@ -65,7 +80,7 @@ RollingStats ComputeRollingStats(const std::vector<double>& series,
   std::vector<double> prefix;
   std::vector<double> prefix_sq;
   BuildPrefixSums(series, &prefix, &prefix_sq);
-  return DeriveStats(prefix, prefix_sq, n, m);
+  return DeriveStats(series, prefix, prefix_sq, m);
 }
 
 namespace {
@@ -97,7 +112,7 @@ MassContext::MassContext(std::vector<double> series)
 }
 
 RollingStats MassContext::Stats(int64_t m) const {
-  return DeriveStats(prefix_, prefix_sq_, size(), m);
+  return DeriveStats(series_, prefix_, prefix_sq_, m);
 }
 
 RollingStatsF32 MassContext::StatsF32(int64_t m) const {

@@ -15,7 +15,8 @@ namespace triad::discord {
 
 /// \brief Rolling means and standard deviations of all length-m subsequences,
 /// computed in O(n) with prefix sums. Used by MASS and the discord
-/// algorithms' z-normalized distances.
+/// algorithms' z-normalized distances. An exactly constant window gets a
+/// stddev of exactly 0, so the 1e-12 flat rule always sees it.
 struct RollingStats {
   std::vector<double> mean;
   std::vector<double> stddev;  ///< population stddev; 0 for flat windows

@@ -199,6 +199,8 @@ void StompStream::PushPoint(double value, AppendResult* result) {
   // Same sequential accumulation as mass.cc's BuildPrefixSums, so the
   // derived stats match ComputeRollingStats exactly (both tiers: the kF32
   // stats are these exact doubles rounded once).
+  const size_t len = series_.size();
+  tail_run_ = len > 1 && value == series_[len - 2] ? tail_run_ + 1 : 1;
   prefix_.push_back(prefix_.back() + value);
   prefix_sq_.push_back(prefix_sq_.back() + value * value);
   const int64_t n = static_cast<int64_t>(series_.size());
@@ -215,12 +217,14 @@ void StompStream::PushPoint(double value, AppendResult* result) {
     const double mu = sum / static_cast<double>(m_);
     const double var =
         std::max(0.0, sum_sq / static_cast<double>(m_) - mu * mu);
+    // An exactly constant window is flat, as in DeriveStats.
+    const double sd = tail_run_ >= m_ ? 0.0 : std::sqrt(var);
     if (precision_ == simd::Precision::kF32) {
       mean_f32_.push_back(static_cast<float>(mu));
-      stddev_f32_.push_back(static_cast<float>(std::sqrt(var)));
+      stddev_f32_.push_back(static_cast<float>(sd));
     } else {
       mean_.push_back(mu);
-      stddev_.push_back(std::sqrt(var));
+      stddev_.push_back(sd);
     }
   }
   rows_counter->Increment();

@@ -114,6 +114,7 @@ class StompStream {
   std::vector<double> series_;
   std::vector<double> prefix_;     ///< prefix sums, series size + 1
   std::vector<double> prefix_sq_;  ///< prefix sums of squares
+  int64_t tail_run_ = 0;  ///< equal-value run ending at the newest point
   std::vector<double> mean_;       ///< rolling stats per row (kF64 tier)
   std::vector<double> stddev_;
   std::vector<double> qt_;    ///< sliding dots of the latest row (kF64)

@@ -1,5 +1,6 @@
 #include "nn/serialize.h"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -9,6 +10,10 @@ namespace {
 
 constexpr char kMagic[4] = {'T', 'R', 'T', 'N'};
 constexpr uint32_t kVersion = 1;
+// Largest tensor a stream may declare (4 GiB of floats).
+constexpr int64_t kMaxTensorElements = int64_t{1} << 30;
+// Floats read per piece of a tensor body.
+constexpr int64_t kReadChunkElements = int64_t{1} << 16;
 
 template <typename T>
 void WritePod(std::ostream& out, T value) {
@@ -52,7 +57,9 @@ Result<std::vector<Tensor>> ReadTensors(std::istream& in) {
     return Status::InvalidArgument("implausible tensor count");
   }
   std::vector<Tensor> tensors;
-  tensors.reserve(count);
+  // The count is untrusted: reserve only what a plausible model needs, and
+  // let a stream that really holds more grow the vector as it is read.
+  tensors.reserve(std::min<uint64_t>(count, 256));
   for (uint64_t i = 0; i < count; ++i) {
     uint32_t ndim = 0;
     if (!ReadPod(in, &ndim) || ndim > 8) {
@@ -64,15 +71,25 @@ Result<std::vector<Tensor>> ReadTensors(std::istream& in) {
       if (!ReadPod(in, &d) || d < 0) {
         return Status::InvalidArgument("corrupt tensor shape");
       }
+      // Bounded before multiplying, so the product can neither overflow
+      // nor pass the cap.
+      if (d != 0 && size > kMaxTensorElements / d) {
+        return Status::InvalidArgument("implausible tensor size");
+      }
       size *= d;
     }
-    if (size > (1ll << 30)) {
-      return Status::InvalidArgument("implausible tensor size");
+    // Read the body in bounded pieces, growing the buffer only as bytes
+    // arrive: a short stream behind a huge declared size fails having
+    // allocated about what it held, not the declared size.
+    std::vector<float> data;
+    for (int64_t done = 0; done < size;) {
+      const int64_t take = std::min(kReadChunkElements, size - done);
+      data.resize(static_cast<size_t>(done + take));
+      in.read(reinterpret_cast<char*>(data.data() + done),
+              static_cast<std::streamsize>(take * sizeof(float)));
+      if (!in) return Status::IoError("tensor stream truncated");
+      done += take;
     }
-    std::vector<float> data(static_cast<size_t>(size));
-    in.read(reinterpret_cast<char*>(data.data()),
-            static_cast<std::streamsize>(data.size() * sizeof(float)));
-    if (!in) return Status::IoError("tensor stream truncated");
     tensors.emplace_back(std::move(shape), std::move(data));
   }
   return tensors;

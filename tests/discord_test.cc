@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/rng.h"
 #include "discord/discord.h"
@@ -95,6 +97,109 @@ TEST(MassTest, FlatQueryAgainstFlatWindowIsZero) {
   const std::vector<double> profile = MassDistanceProfile(series, query);
   EXPECT_EQ(profile[0], 0.0);               // flat vs flat: identical shape
   EXPECT_TRUE(std::isinf(profile[25]));     // flat vs structured: excluded
+}
+
+// The shape of perfbench's plateau probe: sine plus noise with a 40-point
+// plateau held at series[200], a value that does not survive prefix-sum
+// cancellation (unlike the 0.0 and 2.5 of the Flat* tests above).
+std::vector<double> PlateauSeries() {
+  std::vector<double> series(480);
+  Rng rng(7);
+  for (size_t t = 0; t < series.size(); ++t) {
+    series[t] = std::sin(2.0 * kPi * static_cast<double>(t) / 40.0) +
+                rng.Normal(0.0, 0.05);
+  }
+  std::fill(series.begin() + 200, series.begin() + 240, series[200]);
+  return series;
+}
+
+// Nearest non-trivial-neighbour distance per window from the definition:
+// two-pass stats, flat (stddev < 1e-12) against flat is 0, flat against
+// non-flat is +inf.
+std::vector<double> NaiveNearestNeighbour(const std::vector<double>& x,
+                                          int64_t m) {
+  const int64_t count = static_cast<int64_t>(x.size()) - m + 1;
+  std::vector<std::vector<double>> z(static_cast<size_t>(count));
+  for (int64_t i = 0; i < count; ++i) {
+    const std::vector<double> w(x.begin() + i, x.begin() + i + m);
+    double mu = 0.0;
+    for (double v : w) mu += v;
+    mu /= static_cast<double>(m);
+    double ss = 0.0;
+    for (double v : w) ss += (v - mu) * (v - mu);
+    const double sd = std::sqrt(ss / static_cast<double>(m));
+    if (sd < 1e-12) continue;  // flat: empty z marks it
+    for (double v : w) z[static_cast<size_t>(i)].push_back((v - mu) / sd);
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> nn(static_cast<size_t>(count), inf);
+  for (int64_t i = 0; i < count; ++i) {
+    for (int64_t j = i + m; j < count; ++j) {
+      const auto& a = z[static_cast<size_t>(i)];
+      const auto& b = z[static_cast<size_t>(j)];
+      double d = inf;
+      if (a.empty() && b.empty()) {
+        d = 0.0;
+      } else if (!a.empty() && !b.empty()) {
+        double acc = 0.0;
+        for (int64_t k = 0; k < m; ++k) {
+          acc += (a[static_cast<size_t>(k)] - b[static_cast<size_t>(k)]) *
+                 (a[static_cast<size_t>(k)] - b[static_cast<size_t>(k)]);
+        }
+        d = std::sqrt(acc);
+      }
+      nn[static_cast<size_t>(i)] = std::min(nn[static_cast<size_t>(i)], d);
+      nn[static_cast<size_t>(j)] = std::min(nn[static_cast<size_t>(j)], d);
+    }
+  }
+  return nn;
+}
+
+TEST(FlatRuleTest, ExactlyConstantWindowsHaveZeroStddev) {
+  const std::vector<double> x = PlateauSeries();
+  for (int64_t m : {4, 17, 40, 41}) {
+    const RollingStats stats = ComputeRollingStats(x, m);
+    const RollingStats shared = MassContext(x).Stats(m);
+    for (size_t i = 0; i < stats.stddev.size(); ++i) {
+      const bool constant = i >= 200 && i + static_cast<size_t>(m) <= 240;
+      if (constant) {
+        EXPECT_EQ(stats.stddev[i], 0.0) << "m=" << m << " at " << i;
+      } else {
+        EXPECT_GT(stats.stddev[i], 1e-6) << "m=" << m << " at " << i;
+      }
+      EXPECT_EQ(stats.stddev[i], shared.stddev[i]);
+    }
+  }
+}
+
+TEST(FlatRuleTest, PlateauNeverRanksAtAnyLength) {
+  const std::vector<double> x = PlateauSeries();
+  auto merlin = Merlin(x, 4, 48);
+  auto plus_plus = MerlinPlusPlus(x, 4, 48);
+  auto sweep = SweepDiscords(x, 4, 48);
+  ASSERT_TRUE(merlin.ok());
+  ASSERT_TRUE(plus_plus.ok());
+  ASSERT_TRUE(sweep.ok());
+  ASSERT_EQ(merlin->discords.size(), 45u);
+  ASSERT_EQ(plus_plus->discords.size(), 45u);
+  ASSERT_EQ(sweep->discords.size(), 45u);
+  for (int64_t m = 4; m <= 48; ++m) {
+    const std::vector<double> nn = NaiveNearestNeighbour(x, m);
+    double top = -1.0;
+    for (double d : nn) {
+      if (std::isfinite(d)) top = std::max(top, d);
+    }
+    auto brute = BruteForceDiscord(x, m);
+    ASSERT_TRUE(brute.ok());
+    const size_t k = static_cast<size_t>(m - 4);
+    for (const Discord& d : {merlin->discords[k], plus_plus->discords[k],
+                             sweep->discords[k], *brute}) {
+      ASSERT_EQ(d.length, m);
+      EXPECT_NEAR(d.distance, top, 1e-6) << "m=" << m << " at " << d.position;
+      EXPECT_NEAR(nn[static_cast<size_t>(d.position)], d.distance, 1e-6)
+          << "m=" << m << " at " << d.position;
+    }
+  }
 }
 
 TEST(EarlyAbandonTest, ExactWhenNotAbandoned) {

@@ -245,6 +245,83 @@ TEST(KernelEquivalenceTest, SlidingDotUpdateBitIdenticalAcrossShapes) {
   }
 }
 
+TEST(KernelEquivalenceTest, DiagonalDotUpdateBitIdenticalAcrossShapes) {
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    Rng rng(seed * 37);
+    for (int64_t n : kLengths) {
+      const std::vector<double> tail = RandomDoubles(n, &rng);
+      const std::vector<double> head = RandomDoubles(n, &rng);
+      const double drop = rng.Normal(0.0, 1.0);
+      const double add = rng.Normal(0.0, 1.0);
+      std::vector<double> ref = RandomDoubles(n, &rng, 10.0);
+      std::vector<double> got = ref;
+      simd::scalar::DiagonalDotUpdate(ref.data(), n, drop, tail.data(), add,
+                                      head.data());
+      simd::ScopedForceLevel force(simd::HighestSupportedLevel());
+      simd::DiagonalDotUpdate(got.data(), n, drop, tail.data(), add,
+                              head.data());
+      for (int64_t i = 0; i < n; ++i) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(got[static_cast<size_t>(i)]),
+                  std::bit_cast<uint64_t>(ref[static_cast<size_t>(i)]))
+            << "n=" << n << " i=" << i << " seed=" << seed;
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalenceTest, SweepCorrRowBitIdenticalWithFlatPenalties) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    Rng rng(seed * 41);
+    for (int64_t n : kLengths) {
+      const std::vector<double> q = RandomDoubles(n, &rng, 20.0);
+      const std::vector<double> mu = RandomDoubles(n, &rng);
+      std::vector<double> inv_sd(static_cast<size_t>(n));
+      std::vector<double> penalty(static_cast<size_t>(n), 0.0);
+      for (int64_t i = 0; i < n; ++i) {
+        inv_sd[static_cast<size_t>(i)] = 1.0 / (std::abs(rng.Normal()) + 0.1);
+      }
+      // Flat columns (inv_sd 0, penalty -inf), a +0.0 correlation against a
+      // -0.0 best (the max must keep the first operand on equal values),
+      // and a running best already above the row's values.
+      inv_sd[0] = 0.0;
+      penalty[0] = -inf;
+      std::vector<double> ref = RandomDoubles(n, &rng);
+      ref[0] = -inf;
+      if (n > 6) ref[6] = 5.0;
+      std::vector<double> qz = q;
+      std::vector<double> mz = mu;
+      if (n > 3) {
+        qz[3] = 0.0;
+        mz[3] = 0.0;
+        ref[3] = -0.0;
+      }
+      std::vector<double> got = ref;
+      const double ref_max =
+          simd::scalar::SweepCorrRow(qz.data(), mz.data(), inv_sd.data(),
+                                     penalty.data(), 0.3, 1.7, 0.125,
+                                     ref.data(), n);
+      simd::ScopedForceLevel force(simd::HighestSupportedLevel());
+      const double got_max =
+          simd::SweepCorrRow(qz.data(), mz.data(), inv_sd.data(),
+                             penalty.data(), 0.3, 1.7, 0.125, got.data(), n);
+      ASSERT_EQ(std::bit_cast<uint64_t>(got_max),
+                std::bit_cast<uint64_t>(ref_max))
+          << "n=" << n << " seed=" << seed;
+      for (int64_t i = 0; i < n; ++i) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(got[static_cast<size_t>(i)]),
+                  std::bit_cast<uint64_t>(ref[static_cast<size_t>(i)]))
+            << "n=" << n << " i=" << i << " seed=" << seed;
+      }
+      EXPECT_EQ(ref[0], -inf);  // a flat column never gains a neighbour
+    }
+  }
+  double none = 0.0;
+  EXPECT_EQ(simd::SweepCorrRow(nullptr, nullptr, nullptr, nullptr, 0.0, 1.0,
+                               1.0, &none, 0),
+            -inf);
+}
+
 TEST(KernelEquivalenceTest, ZNormDistRowBitIdenticalWithFlatGuards) {
   for (uint64_t seed = 1; seed <= 5; ++seed) {
     Rng rng(seed * 17);

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "nn/layers.h"
 #include "nn/serialize.h"
@@ -50,6 +52,58 @@ TEST(SerializeTest, RejectsTruncatedStream) {
   const std::string full = buffer.str();
   std::stringstream truncated(full.substr(0, full.size() / 2));
   EXPECT_FALSE(ReadTensors(truncated).ok());
+}
+
+// A one-tensor stream with a hand-written shape and `body_bytes` zero bytes
+// of data.
+std::string CraftedStream(const std::vector<int64_t>& dims,
+                          size_t body_bytes) {
+  std::string s = "TRTN";
+  auto put = [&s](const auto& v) {
+    s.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  put(uint32_t{1});  // version
+  put(uint64_t{1});  // tensor count
+  put(static_cast<uint32_t>(dims.size()));
+  for (int64_t d : dims) put(d);
+  s.append(body_bytes, '\0');
+  return s;
+}
+
+TEST(SerializeTest, CraftedHeaderRoundTripsWhenHonest) {
+  std::stringstream in(CraftedStream({2, 3}, 6 * sizeof(float)));
+  auto loaded = ReadTensors(in);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded->size(), 1u);
+  EXPECT_EQ((*loaded)[0].size(), 6);
+}
+
+TEST(SerializeTest, RejectsOverflowingShapeProduct) {
+  // 2^40 cubed overflows int64; the reader must refuse before multiplying.
+  const int64_t big = int64_t{1} << 40;
+  std::stringstream in(CraftedStream({big, big, big}, 16));
+  auto loaded = ReadTensors(in);
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  std::stringstream wraps(CraftedStream({int64_t{1} << 62, 4, 0}, 0));
+  EXPECT_FALSE(ReadTensors(wraps).ok());
+}
+
+TEST(SerializeTest, RejectsHugeSizeBehindShortBody) {
+  // Declares 2^30 floats (4 GiB, at the cap) but carries 8 bytes.
+  std::stringstream in(CraftedStream({int64_t{1} << 15, int64_t{1} << 15}, 8));
+  auto loaded = ReadTensors(in);
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+  std::stringstream over(CraftedStream({(int64_t{1} << 30) + 1}, 8));
+  EXPECT_FALSE(ReadTensors(over).ok());
+}
+
+TEST(SerializeTest, RejectsNegativeDimension) {
+  std::stringstream in(CraftedStream({4, -3}, 48));
+  auto loaded = ReadTensors(in);
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(SerializeTest, FileRoundTrip) {

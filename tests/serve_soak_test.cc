@@ -166,6 +166,31 @@ TEST(ServeSoakTest, ConcurrentFleetStaysIsolatedBoundedAndLive) {
   admin.join();
   drainer.join();
 
+  // Whether the concurrent phase already pushed a dirty tenant onto the
+  // rejecting rung depends on how the drainer raced the producers, so the
+  // backpressure check does not rely on it: with every thread joined, feed
+  // each dirty tenant one NaN chunk at a time, each scored by a synchronous
+  // Drain, until the QoS ladder rejects one.
+  constexpr int kMaxBackpressureChunks = 64;
+  for (auto& mine : logs) {
+    for (TenantLog& log : mine) {
+      if (!log.dirty) continue;
+      bool rejected = false;
+      for (int k = 0; k < kMaxBackpressureChunks && !rejected; ++k) {
+        const std::vector<double> chunk(
+            16, std::numeric_limits<double>::quiet_NaN());
+        auto status = fleet.Ingest(log.id, chunk);
+        ASSERT_TRUE(status.ok());
+        rejected = *status == IngestStatus::kRejected;
+        if (!rejected) {
+          log.accepted.insert(log.accepted.end(), chunk.begin(), chunk.end());
+          ASSERT_TRUE(fleet.Drain().ok());
+        }
+      }
+      EXPECT_TRUE(rejected) << "tenant " << log.id << " never rejected";
+    }
+  }
+
   EXPECT_FALSE(bound_violated.load());
   EXPECT_GT(drains.load(), 0u);
 
