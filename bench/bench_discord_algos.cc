@@ -12,6 +12,7 @@
 #include "bench_util.h"
 #include "common/check.h"
 #include "common/metrics.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/timer.h"
 #include "common/trace.h"
@@ -139,6 +140,29 @@ void BM_SweepRestrictedRegion(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SweepRestrictedRegion);
+
+// A UCR-realistic period: a 3-window region at period 180 (n = 1350,
+// lengths 4-450, step 1). At lengths this long the sweep's exact refresh
+// rows are a large share of its row work. Arg = pool lanes.
+void BM_SweepLongPeriodRegion(benchmark::State& state) {
+  Rng rng(5);
+  std::vector<double> region(1350);
+  for (size_t t = 0; t < region.size(); ++t) {
+    const double phase = 2.0 * kPi * static_cast<double>(t) / 180.0;
+    region[t] = std::sin(phase) + rng.Normal(0.0, 0.05);
+    if (t >= 585 && t < 765) region[t] += 0.4 * std::sin(3.0 * phase);
+  }
+  ThreadPool pool(state.range(0));
+  ScopedDefaultPool scoped(&pool);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(SweepDiscords(region, 4, 450, 1));
+  }
+}
+BENCHMARK(BM_SweepLongPeriodRegion)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // A noisier series (sigma 0.1) with the anomaly sliced out: with no true
 // discord present, nearest-neighbour distances bunch together, the range

@@ -10,21 +10,15 @@
 
 /// \file
 /// Variable-length discord discovery: the all-lengths sweep the detector
-/// runs, the paper's comparison algorithms DRAG, MERLIN and MERLIN++, and
-/// the range-restricted re-search primitive.
+/// runs, and the paper's comparison algorithms DRAG, MERLIN and MERLIN++.
 ///
-/// **MassContext reuse rules** (ARCHITECTURE.md §7/§8): every algorithm
-/// here prices its distance work against one MassContext per series —
-/// Merlin/MerlinPlusPlus build it internally and share it across the whole
-/// length sweep (prefix sums serve every length's rolling stats; lengths
-/// with the same padded FFT size share one series spectrum), while
-/// DiscordInRange takes the context *by reference* so a caller re-searching
-/// many ranges of the same series (changed-region tracking, streaming)
-/// pays the series-side FFT and prefix sums once, not once per call. A
-/// context is valid for a series snapshot: it never observes appends, so
-/// when the underlying stream grows, build a new context over the new
-/// buffer (cheap: O(n) prefix sums + one lazy FFT) or use
-/// discord::StompStream, which maintains its own state under append.
+/// **MassContext reuse rules** (ARCHITECTURE.md §7): every algorithm here
+/// prices its distance work against one MassContext per series, built
+/// internally and shared across the whole length sweep (prefix sums serve
+/// every length's rolling stats; lengths with the same padded FFT size
+/// share one series spectrum). A context is valid for a series snapshot: it
+/// never observes appends, so when the underlying stream grows, build a new
+/// context over the new buffer (cheap: O(n) prefix sums + one lazy FFT).
 /// Contexts are safe to share across pool workers (const methods only).
 
 namespace triad::discord {
@@ -103,43 +97,24 @@ Result<MerlinResult> MerlinPlusPlus(const std::vector<double>& series,
 /// detection path's discord search (ARCHITECTURE.md §7).
 ///
 /// Each length sweeps the half triangle j >= i + m row by row, keeping one
-/// running dot product per diagonal (updated in O(1) per cell, recomputed
-/// exactly every 64 rows) and the best correlation per row and column; no
-/// range parameter, restarts or reference index. Flat windows (stddev
-/// < 1e-12) never rank and are no window's neighbour. Rows whose swept
-/// value lies within rounding slack of the best are re-ranked by the exact
-/// ZNormDistanceEarlyAbandon scan, so the reported distance is bit-identical
-/// to Merlin's, and exact ties go to the earliest position (the
-/// BruteForceDiscord rule; Merlin may report the later window of a tie).
-/// Lengths with no finite nearest-neighbour distance are skipped. Lengths
-/// run one per pool lane with a deadline checkpoint each, so output is
-/// bit-identical at any TRIAD_NUM_THREADS and SIMD tier. `stats` counts
-/// the re-ranked rows (candidates_after_phase1) and their pointwise work;
-/// restarts and distance_profiles stay 0.
+/// running dot product per diagonal (updated in O(1) per cell, reset to an
+/// exact value every 64 rows) and the best correlation per row and column;
+/// no range parameter, restarts or reference index. The exact values carry
+/// from one length to the next by adding the new terms, bit-identical to a
+/// rebuild. Flat windows (stddev < 1e-12) never rank and are no window's
+/// neighbour. Rows whose swept value lies within rounding slack of the best
+/// are re-ranked by the exact ZNormDistanceEarlyAbandon scan, so the
+/// reported distance is bit-identical to Merlin's, and exact ties go to the
+/// earliest position (the BruteForceDiscord rule; Merlin may report the
+/// later window of a tie). Lengths with no finite nearest-neighbour
+/// distance are skipped. The lengths split into contiguous runs fixed by
+/// the length range, one pool task per run, with a deadline checkpoint per
+/// length, so output is bit-identical at any TRIAD_NUM_THREADS and SIMD
+/// tier. `stats` counts the re-ranked rows (candidates_after_phase1) and
+/// their pointwise work; restarts and distance_profiles stay 0.
 Result<MerlinResult> SweepDiscords(const std::vector<double>& series,
                                    int64_t min_length, int64_t max_length,
                                    int64_t length_step = 1);
-
-/// \brief Exact top discord of length m whose start position lies in
-/// [begin, end) — the changed-region re-search primitive
-/// (ARCHITECTURE.md §8).
-///
-/// Nearest-neighbour distances are measured against the FULL series held by
-/// `mass` (one amortized MASS profile per candidate row, fanned across the
-/// pool with an ordered reduction — bit-identical at any thread count), so
-/// each candidate's NN distance equals the matrix-profile entry
-/// BruteForceDiscord ranks; only the argmax is restricted to the range.
-/// After an append touches profile rows [begin, end) (e.g.
-/// StompStream::AppendResult's changed hull plus the new rows), re-ranking
-/// that span against a previously kept best is enough to maintain the top
-/// discord without a full re-search. `begin`/`end` are clamped to the valid
-/// row range; returns nullopt when the clamped range is empty or no
-/// candidate in it has a finite NN distance. `stats` (may be null)
-/// accumulates the distance-profile count.
-Result<std::optional<Discord>> DiscordInRange(const MassContext& mass,
-                                              int64_t m, int64_t begin,
-                                              int64_t end,
-                                              DiscordStats* stats = nullptr);
 
 }  // namespace triad::discord
 

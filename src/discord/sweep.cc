@@ -1,6 +1,8 @@
 // Exact all-lengths discord sweep: one matrix profile per length, evaluated
 // diagonal by diagonal with an O(1) running dot product per cell (SCAMP,
 // Zimmerman et al. SoCC'19; all-lengths profile, Madrid et al. ICDM'19).
+// The exact refresh rows are carried from one length to the next, which
+// the all-lengths profile's q_{m+1} = q_m + x[i+m] * x[j+m] step allows.
 
 #include <algorithm>
 #include <cmath>
@@ -25,6 +27,11 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // which bounds the drift of the O(1) update.
 constexpr int64_t kRefreshRows = 64;
 
+// Contiguous runs of lengths the sweep fans over the pool. Each run pays
+// one from-scratch build of its refresh rows; more runs balance the lanes
+// better. 16 and 32 read best of 8/16/32/64 on BM_SweepLongPeriodRegion.
+constexpr size_t kSweepRuns = 16;
+
 // Correlation slack within which a row's swept nearest-neighbour value may
 // still hide the true top discord. Every row inside it is re-ranked by its
 // exact distance, so the sweep's rounding never decides the winner.
@@ -37,15 +44,29 @@ struct LengthSweep {
   Status status = Status::OK();
 };
 
+// Exact dot products of the refresh rows (every kRefreshRows-th row i) for
+// the length m they were last brought to: row r = i / kRefreshRows holds
+// sum_{t < m} x[i+t] * x[i+k+t] at entry k - first for each diagonal k
+// that row has at length `first`. Length m' adds the terms t in [m, m') in
+// ascending order, the order a rebuild from zero uses, so a carried value
+// has the bits of a rebuilt one.
+struct RefreshCarry {
+  int64_t m = 0;      // 0: not built yet
+  int64_t first = 0;  // the length the rows were built at
+  std::vector<std::vector<double>> rows;
+};
+
 // Best Pearson correlation of every window to a non-trivial neighbour
 // (|i - j| >= m), -inf for flat windows and for windows whose every
 // neighbour is flat. Row-wise over the half triangle j = i + k, k >= m,
 // one running dot product per diagonal k, slid one row down per step.
 // `x` is the series centred on its mean (the correlation is
-// shift-invariant; centring keeps the dots well conditioned).
+// shift-invariant; centring keeps the dots well conditioned). `carry` holds
+// the refresh rows of a shorter length (or none) and leaves holding m's.
 std::vector<double> SweepBestCorrelation(const std::vector<double>& x,
                                          const RollingStats& stats,
-                                         double centre, int64_t m) {
+                                         double centre, int64_t m,
+                                         RefreshCarry& carry) {
   const int64_t count = static_cast<int64_t>(stats.mean.size());
   std::vector<double> mu(static_cast<size_t>(count));
   std::vector<double> inv_sd(static_cast<size_t>(count));
@@ -63,17 +84,27 @@ std::vector<double> SweepBestCorrelation(const std::vector<double>& x,
   std::vector<double> q(static_cast<size_t>(count - m), 0.0);
   const double inv_m = 1.0 / static_cast<double>(m);
   const double* xs = x.data();
+  if (carry.m == 0) {
+    carry.first = m;
+    for (int64_t i = 0; i + m < count; i += kRefreshRows) {
+      carry.rows.emplace_back(static_cast<size_t>(count - i - m), 0.0);
+    }
+  }
   for (int64_t i = 0; i + m < count; ++i) {
     const int64_t width = count - i - m;  // diagonals this row still has
     const int64_t j0 = i + m;             // first window row i pairs with
     if (i % kRefreshRows == 0) {
-      double* qd = q.data();
-      std::fill(qd, qd + width, 0.0);
-      for (int64_t t = 0; t < m; ++t) {
+      // Bring the row to length m on diagonals [m, m + width): plain
+      // multiply-then-add (this file is built without FMA), ascending t.
+      double* exact =
+          carry.rows[static_cast<size_t>(i / kRefreshRows)].data() +
+          (m - carry.first);
+      for (int64_t t = carry.m; t < m; ++t) {
         const double a = xs[i + t];
         const double* b = xs + j0 + t;
-        for (int64_t d = 0; d < width; ++d) qd[d] += a * b[d];
+        for (int64_t d = 0; d < width; ++d) exact[d] += a * b[d];
       }
+      std::copy(exact, exact + width, q.data());
     } else {
       // Drop x[i-1] * x[j-1], add x[i+m-1] * x[j+m-1] on every diagonal.
       simd::DiagonalDotUpdate(q.data(), width, xs[i - 1], xs + j0 - 1,
@@ -87,17 +118,18 @@ std::vector<double> SweepBestCorrelation(const std::vector<double>& x,
         mu[row], inv_sd[row], inv_m, best.data() + col, width);
     best[row] = std::max(best[row], row_best);
   }
+  carry.m = m;
   return best;
 }
 
 LengthSweep SweepOneLength(const MassContext& mass,
                            const std::vector<double>& centred, double centre,
-                           int64_t m) {
+                           int64_t m, RefreshCarry& carry) {
   LengthSweep out;
   const int64_t count = mass.size() - m + 1;
   const RollingStats stats = mass.Stats(m);
   const std::vector<double> best =
-      SweepBestCorrelation(centred, stats, centre, m);
+      SweepBestCorrelation(centred, stats, centre, m, carry);
 
   // The discord has the lowest best correlation (largest NN distance).
   double lowest = kInf;
@@ -138,6 +170,26 @@ LengthSweep SweepOneLength(const MassContext& mass,
   return out;
 }
 
+// Splits lengths [0, cells.size()) into at most kSweepRuns contiguous runs
+// of about equal cell count; run r is [bounds[r], bounds[r + 1]). The split
+// depends only on the lengths, never on the pool.
+std::vector<size_t> SplitIntoRuns(const std::vector<uint64_t>& cells) {
+  double total = 0.0;
+  for (uint64_t c : cells) total += static_cast<double>(c);
+  const size_t runs = std::min(kSweepRuns, cells.size());
+  std::vector<size_t> bounds = {0};
+  double acc = 0.0;
+  for (size_t s = 0; s + 1 < cells.size() && bounds.size() < runs; ++s) {
+    acc += static_cast<double>(cells[s]);
+    if (acc * static_cast<double>(runs) >=
+        total * static_cast<double>(bounds.size())) {
+      bounds.push_back(s + 1);
+    }
+  }
+  bounds.push_back(cells.size());
+  return bounds;
+}
+
 }  // namespace
 
 Result<MerlinResult> SweepDiscords(const std::vector<double>& series,
@@ -155,9 +207,14 @@ Result<MerlinResult> SweepDiscords(const std::vector<double>& series,
       metrics::Registry::Global().counter("discord.sweep_cells");
 
   std::vector<int64_t> lengths;
+  std::vector<uint64_t> cells;
   for (int64_t m = min_length; m <= max_length; m += length_step) {
     if (2 * m > n) break;  // longer lengths have no non-trivial match
     lengths.push_back(m);
+    // The half triangle j >= i + m: rows i in [0, n - 2m] of n - 2m + 1 - i
+    // cells each.
+    const uint64_t rows = static_cast<uint64_t>(n - 2 * m + 1);
+    cells.push_back(rows * (rows + 1) / 2);
   }
 
   const MassContext mass(series);
@@ -167,23 +224,28 @@ Result<MerlinResult> SweepDiscords(const std::vector<double>& series,
   std::vector<double> centred(series.size());
   for (size_t i = 0; i < series.size(); ++i) centred[i] = series[i] - centre;
 
-  // One length per lane; each slot is written by exactly one task and the
+  // One run of lengths per task, in ascending length order so the refresh
+  // rows carry forward; each slot is written by exactly one task and the
   // fold below runs in ascending-length order, so the result is identical
   // at every thread count.
+  const std::vector<size_t> bounds = SplitIntoRuns(cells);
   std::vector<LengthSweep> sweeps(lengths.size());
-  ParallelFor(0, static_cast<int64_t>(lengths.size()), /*grain=*/1,
+  ParallelFor(0, static_cast<int64_t>(bounds.size()) - 1, /*grain=*/1,
               [&](int64_t b, int64_t e) {
-                for (int64_t k = b; k < e; ++k) {
-                  LengthSweep& one = sweeps[static_cast<size_t>(k)];
-                  one.status = CheckPassDeadline();
-                  if (!one.status.ok()) continue;
-                  one = SweepOneLength(mass, centred, centre,
-                                       lengths[static_cast<size_t>(k)]);
+                for (int64_t r = b; r < e; ++r) {
+                  RefreshCarry carry;
+                  for (size_t s = bounds[static_cast<size_t>(r)];
+                       s < bounds[static_cast<size_t>(r) + 1]; ++s) {
+                    sweeps[s].status = CheckPassDeadline();
+                    if (!sweeps[s].status.ok()) break;
+                    sweeps[s] =
+                        SweepOneLength(mass, centred, centre, lengths[s], carry);
+                  }
                 }
               });
 
   MerlinResult result;
-  uint64_t cells = 0;
+  uint64_t total_cells = 0;
   for (size_t s = 0; s < lengths.size(); ++s) {
     if (!sweeps[s].status.ok()) return sweeps[s].status;
     if (sweeps[s].discord.has_value()) {
@@ -191,12 +253,9 @@ Result<MerlinResult> SweepDiscords(const std::vector<double>& series,
     }
     result.stats.candidates_after_phase1 += sweeps[s].candidates;
     result.stats.pointwise_distance_ops += sweeps[s].ops;
-    // The half triangle j >= i + m: rows i in [0, n - 2m] of n - 2m + 1 - i
-    // cells each.
-    const uint64_t rows = static_cast<uint64_t>(n - 2 * lengths[s] + 1);
-    cells += rows * (rows + 1) / 2;
+    total_cells += cells[s];
   }
-  cells_counter->Increment(cells);
+  cells_counter->Increment(total_cells);
   return result;
 }
 

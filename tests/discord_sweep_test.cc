@@ -2,7 +2,8 @@
 // detector runs: against the brute-force matrix profile and against MERLIN
 // at every length, on seeded random, periodic and flat-run series; the
 // earliest-position tie rule; bit-identity across thread counts, SIMD
-// tiers and the metrics gate; its span and cell counter; and the
+// tiers and the metrics gate; the refresh rows carried across lengths
+// against single-length calls; its span and cell counter; and the
 // cooperative deadline.
 
 #include <gtest/gtest.h>
@@ -221,6 +222,51 @@ TEST(SweepDiscordsTest, BitIdenticalAcrossThreadsAndSimdTiers) {
     auto r = SweepDiscords(x, 4, 120, 3);
     ASSERT_TRUE(r.ok());
     expect_same(*r);
+  }
+}
+
+// A range call carries each run's exact refresh rows from one length to
+// the next; a single-length call always builds them from scratch. The two
+// must agree bit for bit at every length, step and thread count. n >= 900
+// gives every length several refresh rows and the range several runs.
+TEST(SweepDiscordsTest, CarriedRefreshRowsMatchSingleLengthCalls) {
+  const int64_t lo = 4, hi = 150;
+  ThreadPool serial(1), three(3), quad(4);
+  for (const std::vector<double>& x :
+       {SineWithNoise(61, 960, 40.0), RandomWalk(62, 920)}) {
+    for (int64_t step : {1, 3}) {
+      std::vector<Discord> fresh;
+      int64_t candidates = 0, ops = 0;
+      {
+        ScopedDefaultPool scoped(&serial);
+        for (int64_t m = lo; m <= hi; m += step) {
+          auto one = SweepDiscords(x, m, m, 1);
+          ASSERT_TRUE(one.ok()) << "m=" << m;
+          ASSERT_LE(one->discords.size(), 1u) << "m=" << m;
+          fresh.insert(fresh.end(), one->discords.begin(),
+                       one->discords.end());
+          candidates += one->stats.candidates_after_phase1;
+          ops += one->stats.pointwise_distance_ops;
+        }
+      }
+      ASSERT_FALSE(fresh.empty());
+      for (ThreadPool* pool : {&serial, &three, &quad}) {
+        ScopedDefaultPool scoped(pool);
+        auto range = SweepDiscords(x, lo, hi, step);
+        ASSERT_TRUE(range.ok());
+        ASSERT_EQ(range->discords.size(), fresh.size())
+            << "step=" << step << " threads=" << pool->num_threads();
+        for (size_t k = 0; k < fresh.size(); ++k) {
+          EXPECT_EQ(range->discords[k].length, fresh[k].length);
+          EXPECT_EQ(range->discords[k].position, fresh[k].position)
+              << "m=" << fresh[k].length << " step=" << step;
+          EXPECT_EQ(range->discords[k].distance, fresh[k].distance)
+              << "m=" << fresh[k].length << " step=" << step;
+        }
+        EXPECT_EQ(range->stats.candidates_after_phase1, candidates);
+        EXPECT_EQ(range->stats.pointwise_distance_ops, ops);
+      }
+    }
   }
 }
 

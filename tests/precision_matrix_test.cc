@@ -46,14 +46,6 @@ std::vector<double> RandomWalk(int64_t n, uint64_t seed) {
   return x;
 }
 
-int64_t ArgMax(const std::vector<double>& v) {
-  int64_t best = 0;
-  for (int64_t i = 1; i < static_cast<int64_t>(v.size()); ++i) {
-    if (v[static_cast<size_t>(i)] > v[static_cast<size_t>(best)]) best = i;
-  }
-  return best;
-}
-
 // ---------- f32 x SIMD tier ----------
 
 // The batch f32 matrix profile is built from level-independent FFT seeds
@@ -85,31 +77,6 @@ TEST(PrecisionMatrixTest, BatchF32IdenticalAcrossSimdTiers) {
               std::bit_cast<uint64_t>(vector_d[i]))
         << "i=" << i;
   }
-}
-
-// The streaming path seeds each append with DotF32 (tier-dependent lane
-// fold), so cross-tier agreement there is envelope-close rather than
-// bitwise — but the discord verdict must not move.
-TEST(PrecisionMatrixTest, StreamF32ComposesWithScalarSimd) {
-  const std::vector<double> x = RandomWalk(700, 33);
-  const int64_t m = 32;
-
-  auto run = [&](simd::Level level) {
-    simd::ScopedForceLevel force(level);
-    discord::StompStream stream(m, simd::Precision::kF32);
-    stream.Append(x);
-    EXPECT_EQ(stream.precision(), simd::Precision::kF32);
-    return stream.profile().distances;
-  };
-
-  const std::vector<double> scalar_d = run(simd::Level::kScalar);
-  if (!BestTierIsVector()) GTEST_SKIP() << "host has no vector tier";
-  const std::vector<double> vector_d = run(simd::HighestSupportedLevel());
-  ASSERT_EQ(scalar_d.size(), vector_d.size());
-  for (size_t i = 0; i < scalar_d.size(); ++i) {
-    EXPECT_NEAR(scalar_d[i], vector_d[i], 1e-3) << "i=" << i;
-  }
-  EXPECT_EQ(ArgMax(scalar_d), ArgMax(vector_d));
 }
 
 // ---------- precision x NN execution ----------
