@@ -91,19 +91,6 @@ void BM_StompMatrixProfile(benchmark::State& state) {
 BENCHMARK(BM_StompMatrixProfile)->Arg(1000)->Arg(2000)->Arg(4000)
     ->Complexity(benchmark::oNSquared);
 
-// Same workload on the float32 inference tier (ARCHITECTURE.md §12): the
-// distance rows run ZNormDistRowF32/SlidingDotUpdateF32 at twice the SIMD
-// lane width; the FFT seeds stay double.
-void BM_StompMatrixProfileF32(benchmark::State& state) {
-  const std::vector<double> x = Workload(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Stomp(x, 50, simd::Precision::kF32));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_StompMatrixProfileF32)->Arg(1000)->Arg(2000)->Arg(4000)
-    ->Complexity(benchmark::oNSquared);
-
 void BM_Merlin(benchmark::State& state) {
   const std::vector<double> x = Workload(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
@@ -254,28 +241,6 @@ int RunJsonMode() {
     merlin_on = span.Stop();
   }
 
-  // STOMP matrix profile, f64-vs-f32 cohort (ARCHITECTURE.md §12): same
-  // 8k series, same subsequence length; only the distance-row precision
-  // tier changes. Both run under the plan cache so the FFT seed cost is
-  // identical and the delta isolates the row kernels.
-  double stomp_f64, stomp_f32;
-  {
-    signal::ScopedPlanCache plan(true);
-    trace::TraceSpan span("bench.stomp_f64");
-    auto result = Stomp(x8k, 50, simd::Precision::kF64);
-    TRIAD_CHECK(result.ok());
-    benchmark::DoNotOptimize(result->distances);
-    stomp_f64 = span.Stop();
-  }
-  {
-    signal::ScopedPlanCache plan(true);
-    trace::TraceSpan span("bench.stomp_f32");
-    auto result = Stomp(x8k, 50, simd::Precision::kF32);
-    TRIAD_CHECK(result.ok());
-    benchmark::DoNotOptimize(result->distances);
-    stomp_f32 = span.Stop();
-  }
-
   const auto counter = [](const char* name) {
     return static_cast<double>(
         metrics::Registry::Global().counter(name)->value());
@@ -288,10 +253,6 @@ int RunJsonMode() {
        {"merlin_sweep_plan_off_seconds", merlin_off},
        {"merlin_sweep_plan_on_seconds", merlin_on},
        {"merlin_sweep_speedup", merlin_off / merlin_on},
-       {"precision_f32", 1.0},  // record carries an f32 cohort (§12)
-       {"stomp_f64_seconds", stomp_f64},
-       {"stomp_f32_seconds", stomp_f32},
-       {"stomp_f32_speedup", stomp_f64 / stomp_f32},
        {"fft_plan_hits", counter("fft.plan_hits")},
        {"fft_plan_misses", counter("fft.plan_misses")},
        {"mass_spectrum_hits", counter("mass.spectrum_hits")},

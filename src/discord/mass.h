@@ -1,14 +1,12 @@
 #ifndef TRIAD_DISCORD_MASS_H_
 #define TRIAD_DISCORD_MASS_H_
 
-#include <complex>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
 
-#include "common/simd.h"
 #include "signal/fft.h"
 
 namespace triad::discord {
@@ -24,15 +22,6 @@ struct RollingStats {
 
 RollingStats ComputeRollingStats(const std::vector<double>& series,
                                  int64_t m);
-
-/// \brief Float32 view of the rolling stats for the kF32 precision tier:
-/// each entry is the exact double stat rounded once to single precision
-/// (never accumulated in single), so the narrowed stats carry the full
-/// accuracy of the prefix-sum derivation.
-struct RollingStatsF32 {
-  std::vector<float> mean;
-  std::vector<float> stddev;
-};
 
 /// \brief Amortization context for repeated MASS queries against one series
 /// (see ARCHITECTURE.md §7).
@@ -68,30 +57,15 @@ class MassContext {
   /// Rolling stats for length m, derived from the shared prefix sums.
   RollingStats Stats(int64_t m) const;
 
-  /// Stats(m) rounded once to single precision, for the kF32 tier's
-  /// distance rows.
-  RollingStatsF32 StatsF32(int64_t m) const;
-
   /// Sliding dot products dots[i] = sum_j series[i+j] * query[j] for
   /// i in [0, n-m]; `dots` must hold n-m+1 entries. One query-side FFT
   /// against the cached series spectrum (or the reference FftConvolve when
   /// the plan cache is disabled).
   void SlidingDotsInto(const double* query, int64_t m, double* dots) const;
 
-  /// Sliding dots for the kF32 tier: query-side FFT in double against the
-  /// float32 series spectrum (widened at multiply time), results narrowed
-  /// to float. Falls back to narrowing the reference FftConvolve when the
-  /// plan cache is disabled. Used for kF32 chunk seeding by Stomp as well.
-  void SlidingDotsIntoF32(const double* query, int64_t m, float* dots) const;
-
-  /// MASS distance profile of `query` against every subsequence. At kF64
-  /// (the default) bit-identical to MassDistanceProfile(series, query); at
-  /// kF32 the distance row runs the float32 kernels against the float32
-  /// series spectrum and the result is widened back to double — same flat
-  /// guards, values within the §12 tolerance envelope of the kF64 row.
-  std::vector<double> DistanceProfile(
-      const std::vector<double>& query,
-      simd::Precision precision = simd::Precision::kF64) const;
+  /// MASS distance profile of `query` against every subsequence,
+  /// bit-identical to MassDistanceProfile(series, query).
+  std::vector<double> DistanceProfile(const std::vector<double>& query) const;
 
   /// Scratch-free variant for row loops: `stats` must come from Stats(m)
   /// (hoisted out of the loop by the caller), `out` must hold n-m+1
@@ -100,24 +74,10 @@ class MassContext {
   void DistanceProfileInto(const double* query, int64_t m,
                            const RollingStats& stats, double* out) const;
 
-  /// The kF32 tier's row loop: the sliding dots are narrowed to float, the
-  /// dot->distance conversion runs simd::ZNormDistRowF32 against the
-  /// narrowed stats from StatsF32(m), and the distances are widened into
-  /// `out` (so consumers keep their double interfaces).
-  void DistanceProfileIntoF32(const double* query, int64_t m,
-                              const RollingStatsF32& stats, double* out) const;
-
  private:
   /// The forward FFT of the series zero-padded to `padded` (a power of
   /// two), computed once per padded size and shared.
   std::shared_ptr<const std::vector<signal::Complex>> SpectrumFor(
-      size_t padded) const;
-
-  /// Float32 series spectrum for the kF32 tier: the double forward FFT
-  /// rounded once to complex<float> and cached per padded size (half the
-  /// memory of the double spectrum; the double transform itself is not
-  /// retained when only the f32 tier queries this context).
-  std::shared_ptr<const std::vector<std::complex<float>>> SpectrumForF32(
       size_t padded) const;
 
   std::vector<double> series_;
@@ -128,9 +88,6 @@ class MassContext {
   mutable std::unordered_map<size_t,
                              std::shared_ptr<const std::vector<signal::Complex>>>
       spectra_;
-  mutable std::unordered_map<
-      size_t, std::shared_ptr<const std::vector<std::complex<float>>>>
-      spectra_f32_;
 };
 
 /// \brief MASS (Mueen's Algorithm for Similarity Search).

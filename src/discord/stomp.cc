@@ -21,68 +21,9 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // seed is amortized over thousands of O(1) sliding updates.
 constexpr int64_t kStompChunkRows = 2048;
 
-// The kF32 chunk loop: same decomposition (kStompChunkRows, FFT seed per
-// chunk, O(1) sliding updates inside), but the series copy, stats, dot row,
-// and distance row are float32 and every sweep is an 8-lane kernel. Winning
-// distances are widened into the double profile.
-void StompF32(const MassContext& ctx, const std::vector<double>& series,
-              int64_t m, int64_t count, int64_t exclusion,
-              metrics::Counter* rows_counter, MatrixProfile* profile) {
-  const RollingStatsF32 stats = ctx.StatsF32(m);
-  std::vector<float> series32(series.size());
-  for (size_t i = 0; i < series.size(); ++i) {
-    series32[i] = static_cast<float>(series[i]);
-  }
-  // Chunk seeds stay a double query-side FFT (SlidingDotsIntoF32 narrows the
-  // result), so seed accuracy does not degrade with the chunk count.
-  const auto FftRowF32 = [&](int64_t i) {
-    std::vector<float> row(static_cast<size_t>(count));
-    ctx.SlidingDotsIntoF32(series.data() + i, m, row.data());
-    return row;
-  };
-  const std::vector<float> first_row = FftRowF32(0);
-  constexpr float kInfF = std::numeric_limits<float>::infinity();
-
-  ParallelFor(0, count, kStompChunkRows, [&](int64_t row_begin,
-                                             int64_t row_end) {
-    rows_counter->Increment(static_cast<uint64_t>(row_end - row_begin));
-    std::vector<float> qt =
-        row_begin == 0 ? first_row : FftRowF32(row_begin);
-    std::vector<float> dist(static_cast<size_t>(count));
-    for (int64_t i = row_begin; i < row_end; ++i) {
-      if (i > row_begin) {
-        simd::SlidingDotUpdateF32(qt.data(), count,
-                                  series32[static_cast<size_t>(i - 1)],
-                                  series32.data(),
-                                  series32[static_cast<size_t>(i + m - 1)],
-                                  series32.data() + m);
-        qt[0] = first_row[static_cast<size_t>(i)];  // QT_i[0] = QT_0[i]
-      }
-      simd::ZNormDistRowF32(qt.data(), stats.mean.data(),
-                            stats.stddev.data(),
-                            stats.mean[static_cast<size_t>(i)],
-                            stats.stddev[static_cast<size_t>(i)], m,
-                            dist.data(), count);
-      float best = kInfF;
-      int64_t best_j = -1;
-      for (int64_t j = 0; j < count; ++j) {
-        if (std::llabs(j - i) < exclusion) continue;
-        const float d = dist[static_cast<size_t>(j)];
-        if (d < best) {
-          best = d;
-          best_j = j;
-        }
-      }
-      profile->distances[static_cast<size_t>(i)] = static_cast<double>(best);
-      profile->indices[static_cast<size_t>(i)] = best_j;
-    }
-  });
-}
-
 }  // namespace
 
-Result<MatrixProfile> Stomp(const std::vector<double>& series, int64_t m,
-                            simd::Precision precision) {
+Result<MatrixProfile> Stomp(const std::vector<double>& series, int64_t m) {
   const int64_t n = static_cast<int64_t>(series.size());
   if (m < 2) return Status::InvalidArgument("subsequence length must be >= 2");
   if (2 * m > n) {
@@ -101,12 +42,6 @@ Result<MatrixProfile> Stomp(const std::vector<double>& series, int64_t m,
   profile.distances.assign(static_cast<size_t>(count), kInf);
   profile.indices.assign(static_cast<size_t>(count), -1);
 
-  static metrics::Counter* f32_rows_counter =
-      metrics::Registry::Global().counter("stomp.rows");
-  if (precision == simd::Precision::kF32) {
-    StompF32(ctx, series, m, count, exclusion, f32_rows_counter, &profile);
-    return profile;
-  }
   const RollingStats stats = ctx.Stats(m);
 
   // Dot products of subsequence i with every subsequence j, via one FFT

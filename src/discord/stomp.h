@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/simd.h"
 #include "common/status.h"
 
 namespace triad::discord {
@@ -21,16 +20,7 @@ struct MatrixProfile {
 /// profile in O(n^2) with O(1) sliding dot-product updates — the classical
 /// fast path the matrix-profile family builds on, and the reference the
 /// discord algorithms are validated against.
-///
-/// `precision` selects the distance-row arithmetic (default: the
-/// process-wide tier from TRIAD_PRECISION / ScopedForcePrecision, resolved
-/// at the call site). At kF32 the chunk loop runs the 8-lane float kernels
-/// over a narrowed series copy and widens the winning distances back into
-/// the double profile; neighbour indices may differ from the kF64 profile
-/// only where two candidates are within the §12 tolerance envelope of each
-/// other.
-Result<MatrixProfile> Stomp(const std::vector<double>& series, int64_t m,
-                            simd::Precision precision = simd::ActivePrecision());
+Result<MatrixProfile> Stomp(const std::vector<double>& series, int64_t m);
 
 /// Top-k discords from a matrix profile, mutually separated by at least one
 /// subsequence length (standard exclusion).

@@ -9,9 +9,14 @@
 // tolerance (~1e-9) that absorbs cross-libm ULP noise while still catching
 // any real numerical regression.
 //
+// Two scenarios each pin their own trace: a short-period one (window 85)
+// and a long-period one (period ~150, so the all-lengths discord sweep runs
+// lengths up to several hundred and its carried refresh rows end to end).
+//
 // Regenerate after an intentional behaviour change with
 //   TRIAD_UPDATE_GOLDEN=1 ./detector_golden_test
-// which rewrites tests/testdata/detector_golden.txt from the scalar tier.
+// which rewrites every tests/testdata/detector_golden*.txt from the scalar
+// tier.
 
 #include <gtest/gtest.h>
 
@@ -37,8 +42,6 @@
 
 namespace triad {
 namespace {
-
-const char* GoldenPath() { return TRIAD_GOLDEN_DIR "/detector_golden.txt"; }
 
 // Everything the golden file pins, in one flat struct.
 struct GoldenTrace {
@@ -77,9 +80,9 @@ GoldenTrace TraceFrom(const core::DetectionResult& result) {
   return t;
 }
 
-void WriteGolden(const GoldenTrace& t) {
-  std::ofstream out(GoldenPath());
-  ASSERT_TRUE(out.good()) << "cannot write " << GoldenPath();
+void WriteGolden(const std::string& path, const GoldenTrace& t) {
+  std::ofstream out(path);
+  ASSERT_TRUE(out.good()) << "cannot write " << path;
   out << std::setprecision(17);
   out << "# TriAD detector golden trace (scalar tier). Regenerate with\n"
       << "#   TRIAD_UPDATE_GOLDEN=1 ./detector_golden_test\n";
@@ -106,8 +109,8 @@ void WriteGolden(const GoldenTrace& t) {
   ASSERT_TRUE(out.good());
 }
 
-bool ReadGolden(GoldenTrace* t) {
-  std::ifstream in(GoldenPath());
+bool ReadGolden(const std::string& path, GoldenTrace* t) {
+  std::ifstream in(path);
   if (!in.good()) return false;
   std::string line;
   // Skip comment header lines.
@@ -160,16 +163,18 @@ bool ReadGolden(GoldenTrace* t) {
   return !body.fail();
 }
 
-// Relative-or-absolute closeness: |a - b| <= tol * max(1, |a|, |b|).
-void ExpectClose(double got, double want, double tol, const std::string& what) {
+// Relative-or-absolute closeness, |a - b| <= 1e-9 * max(1, |a|, |b|): tight
+// enough to catch any real numerical regression, loose enough to absorb
+// cross-platform libm ULP noise.
+void ExpectClose(double got, double want, const std::string& what) {
   const double scale = std::max({1.0, std::abs(got), std::abs(want)});
-  EXPECT_LE(std::abs(got - want), tol * scale)
+  EXPECT_LE(std::abs(got - want), 1e-9 * scale)
       << what << ": got " << std::setprecision(17) << got << ", golden "
       << want;
 }
 
 void ExpectMatchesGolden(const GoldenTrace& got, const GoldenTrace& golden,
-                         const std::string& tier, double tol = 1e-9) {
+                         const std::string& tier) {
   SCOPED_TRACE("tier=" + tier);
   // Integer-valued outcomes are exact.
   EXPECT_EQ(got.window_length, golden.window_length);
@@ -182,32 +187,41 @@ void ExpectMatchesGolden(const GoldenTrace& got, const GoldenTrace& golden,
   EXPECT_EQ(got.discord_positions, golden.discord_positions);
   EXPECT_EQ(got.discord_lengths, golden.discord_lengths);
   EXPECT_EQ(got.predictions, golden.predictions);
-  // Doubles carry a tolerance: tight (1e-9, cross-platform libm ULP noise)
-  // for the f64 tiers; relaxed for the f32 inference tier, whose contract
-  // is exact integer verdicts plus O(eps_f32)-accurate scores (§12).
-  ExpectClose(got.vote_threshold, golden.vote_threshold, tol,
-              "vote_threshold");
+  // Doubles are compared with ExpectClose's tight tolerance.
+  ExpectClose(got.vote_threshold, golden.vote_threshold, "vote_threshold");
   ASSERT_EQ(got.discord_distances.size(), golden.discord_distances.size());
   for (size_t i = 0; i < golden.discord_distances.size(); ++i) {
-    ExpectClose(got.discord_distances[i], golden.discord_distances[i], tol,
+    ExpectClose(got.discord_distances[i], golden.discord_distances[i],
                 "discord_distance[" + std::to_string(i) + "]");
   }
   ASSERT_EQ(got.votes.size(), golden.votes.size());
   for (size_t i = 0; i < golden.votes.size(); ++i) {
-    ExpectClose(got.votes[i], golden.votes[i], tol,
+    ExpectClose(got.votes[i], golden.votes[i],
                 "votes[" + std::to_string(i) + "]");
   }
 }
 
-// The fixed scenario: strongly planted seasonal anomaly so every integer
-// outcome (window choice, discord positions, predictions) has a wide
-// decision margin and is stable across dispatch tiers and platforms.
-data::UcrDataset GoldenDataset() {
+// One fixed train -> detect scenario and the golden file that pins it.
+struct GoldenCase {
+  const char* file;
+  data::UcrDataset dataset;
+  core::TriadConfig config;
+};
+
+std::string GoldenPath(const GoldenCase& c) {
+  return std::string(TRIAD_GOLDEN_DIR) + "/" + c.file;
+}
+
+// Strongly planted seasonal anomalies, so every integer outcome (window
+// choice, discord positions, predictions) has a wide decision margin and is
+// stable across dispatch tiers and platforms.
+data::UcrDataset SeasonalDataset(uint64_t seed, int64_t min_period,
+                                 int64_t max_period) {
   data::UcrGeneratorOptions gen;
   gen.count = 1;
-  gen.seed = 54;
-  gen.min_period = 32;
-  gen.max_period = 40;
+  gen.seed = seed;
+  gen.min_period = min_period;
+  gen.max_period = max_period;
   gen.min_train_periods = 14;
   gen.max_train_periods = 16;
   gen.min_test_periods = 10;
@@ -218,72 +232,94 @@ data::UcrDataset GoldenDataset() {
                               &rng);
 }
 
-core::TriadConfig GoldenConfig() {
+core::TriadConfig SmallConfig(int64_t length_step) {
   core::TriadConfig config;
   config.depth = 2;
   config.hidden_dim = 8;
   config.epochs = 4;
   config.seed = 17;
-  config.merlin_length_step = 4;
+  config.merlin_length_step = length_step;
   return config;
 }
 
-GoldenTrace RunPipeline(simd::Level level) {
+// Period 32-40, every 4th discord length.
+GoldenCase ShortPeriodCase() {
+  return {"detector_golden.txt", SeasonalDataset(54, 32, 40), SmallConfig(4)};
+}
+
+// Period 145-155 with every discord length, so the sweep runs lengths 4 up
+// to the window (several hundred) and carries its refresh rows across all
+// of them.
+GoldenCase LongPeriodCase() {
+  return {"detector_golden_long_period.txt", SeasonalDataset(61, 145, 155),
+          SmallConfig(1)};
+}
+
+GoldenTrace RunPipeline(const GoldenCase& c, simd::Level level) {
   simd::ScopedForceLevel force(level);
-  const data::UcrDataset ds = GoldenDataset();
-  core::TriadDetector detector(GoldenConfig());
-  EXPECT_TRUE(detector.Fit(ds.train).ok());
-  auto result = detector.Detect(ds.test);
+  core::TriadDetector detector(c.config);
+  EXPECT_TRUE(detector.Fit(c.dataset.train).ok());
+  auto result = detector.Detect(c.dataset.test);
   EXPECT_TRUE(result.ok());
   return TraceFrom(*result);
 }
 
-TEST(DetectorGoldenTest, TraceMatchesGoldenOnEveryTier) {
-  const GoldenTrace scalar_trace = RunPipeline(simd::Level::kScalar);
+// The trace must describe a successful detection: a window was selected,
+// discords were found, and the votes localize the planted anomaly. Guards
+// against regenerating a golden file from a broken run.
+void ExpectDetectsPlantedAnomaly(const data::UcrDataset& ds,
+                                 const GoldenTrace& t) {
+  ASSERT_GE(t.selected_window, 0);
+  ASSERT_FALSE(t.discord_positions.empty());
+  ASSERT_EQ(t.votes.size(), ds.test.size());
+  // Vote mass concentrates around the planted event.
+  double inside = 0.0, outside = 0.0;
+  int64_t inside_count = 0, outside_count = 0;
+  const int64_t margin = t.window_length;
+  for (int64_t i = 0; i < static_cast<int64_t>(t.votes.size()); ++i) {
+    const bool near =
+        i >= ds.anomaly_begin - margin && i < ds.anomaly_end + margin;
+    (near ? inside : outside) += t.votes[static_cast<size_t>(i)];
+    ++(near ? inside_count : outside_count);
+  }
+  ASSERT_GT(inside_count, 0);
+  ASSERT_GT(outside_count, 0);
+  EXPECT_GT(inside / static_cast<double>(inside_count),
+            outside / static_cast<double>(outside_count));
+}
+
+// Checks the case's scalar-tier trace, then the best tier's, against its
+// golden file; under TRIAD_UPDATE_GOLDEN=1 rewrites the file from the
+// scalar tier instead.
+void CheckGoldenOnEveryTier(const GoldenCase& c) {
+  const GoldenTrace scalar_trace = RunPipeline(c, simd::Level::kScalar);
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectDetectsPlantedAnomaly(c.dataset, scalar_trace));
 
   if (GetEnvInt("TRIAD_UPDATE_GOLDEN", 0) != 0) {
-    WriteGolden(scalar_trace);
-    GTEST_SKIP() << "golden trace regenerated at " << GoldenPath();
+    WriteGolden(GoldenPath(c), scalar_trace);
+    GTEST_SKIP() << "golden trace regenerated at " << GoldenPath(c);
   }
 
   GoldenTrace golden;
-  ASSERT_TRUE(ReadGolden(&golden))
-      << "missing/corrupt " << GoldenPath()
+  ASSERT_TRUE(ReadGolden(GoldenPath(c), &golden))
+      << "missing/corrupt " << GoldenPath(c)
       << " — regenerate with TRIAD_UPDATE_GOLDEN=1";
 
   ExpectMatchesGolden(scalar_trace, golden, "scalar");
 
   const simd::Level best = simd::HighestSupportedLevel();
   if (best != simd::Level::kScalar) {
-    ExpectMatchesGolden(RunPipeline(best), golden, simd::LevelName(best));
+    ExpectMatchesGolden(RunPipeline(c, best), golden, simd::LevelName(best));
   }
 }
 
-// Verdict preservation for the float32 inference tier (ARCHITECTURE.md
-// §12): the SAME golden file written by the f64 scalar tier must be
-// reproduced under ScopedForcePrecision(kF32) on every SIMD tier — every
-// integer outcome (selected window, candidate set, discord positions and
-// lengths, the full 0/1 prediction vector) exactly, and every score within
-// the relaxed f32 envelope. Training always runs in double (§12), so the
-// model feeding the f32 detect path is bit-identical to the f64 run's.
-TEST(DetectorGoldenTest, F32TierPreservesVerdictsAgainstGolden) {
-  if (GetEnvInt("TRIAD_UPDATE_GOLDEN", 0) != 0) {
-    GTEST_SKIP() << "golden regeneration runs in the f64 test";
-  }
-  GoldenTrace golden;
-  ASSERT_TRUE(ReadGolden(&golden))
-      << "missing/corrupt " << GoldenPath()
-      << " — regenerate with TRIAD_UPDATE_GOLDEN=1";
+TEST(DetectorGoldenTest, TraceMatchesGoldenOnEveryTier) {
+  CheckGoldenOnEveryTier(ShortPeriodCase());
+}
 
-  simd::ScopedForcePrecision force_f32(simd::Precision::kF32);
-  constexpr double kF32Tol = 1e-3;
-  ExpectMatchesGolden(RunPipeline(simd::Level::kScalar), golden, "scalar/f32",
-                      kF32Tol);
-  const simd::Level best = simd::HighestSupportedLevel();
-  if (best != simd::Level::kScalar) {
-    ExpectMatchesGolden(RunPipeline(best), golden,
-                        std::string(simd::LevelName(best)) + "/f32", kF32Tol);
-  }
+TEST(DetectorGoldenTest, LongPeriodTraceMatchesGoldenOnEveryTier) {
+  CheckGoldenOnEveryTier(LongPeriodCase());
 }
 
 // The observability invariant (ARCHITECTURE.md §6): metrics and trace
@@ -313,45 +349,21 @@ TEST(DetectorGoldenTest, MetricsOnOffLeavesTraceBitIdenticalOnEveryTier) {
   const simd::Level best = simd::HighestSupportedLevel();
   if (best != simd::Level::kScalar) tiers.push_back(best);
 
+  const GoldenCase c = ShortPeriodCase();
   for (simd::Level tier : tiers) {
     GoldenTrace with_metrics, without_metrics;
     {
       metrics::ScopedEnable enable(true);
-      with_metrics = RunPipeline(tier);
+      with_metrics = RunPipeline(c, tier);
       // Recording actually happened: the stage spans reached the buffer.
       EXPECT_FALSE(trace::TraceBuffer::Global().Snapshot().empty());
     }
     {
       metrics::ScopedEnable disable(false);
-      without_metrics = RunPipeline(tier);
+      without_metrics = RunPipeline(c, tier);
     }
     ExpectBitIdentical(with_metrics, without_metrics, simd::LevelName(tier));
   }
-}
-
-// The trace itself must describe a successful detection: a window was
-// selected, discords were found, and the votes localize the planted
-// anomaly. Guards against regenerating a golden file from a broken run.
-TEST(DetectorGoldenTest, GoldenScenarioDetectsThePlantedAnomaly) {
-  const data::UcrDataset ds = GoldenDataset();
-  const GoldenTrace t = RunPipeline(simd::Level::kScalar);
-  ASSERT_GE(t.selected_window, 0);
-  ASSERT_FALSE(t.discord_positions.empty());
-  ASSERT_EQ(t.votes.size(), ds.test.size());
-  // Vote mass concentrates around the planted event.
-  double inside = 0.0, outside = 0.0;
-  int64_t inside_count = 0, outside_count = 0;
-  const int64_t margin = t.window_length;
-  for (int64_t i = 0; i < static_cast<int64_t>(t.votes.size()); ++i) {
-    const bool near =
-        i >= ds.anomaly_begin - margin && i < ds.anomaly_end + margin;
-    (near ? inside : outside) += t.votes[static_cast<size_t>(i)];
-    ++(near ? inside_count : outside_count);
-  }
-  ASSERT_GT(inside_count, 0);
-  ASSERT_GT(outside_count, 0);
-  EXPECT_GT(inside / static_cast<double>(inside_count),
-            outside / static_cast<double>(outside_count));
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "common/parallel.h"
@@ -115,6 +116,52 @@ TEST(BatchedGateTest, ScopedOverrideNestsAndRestores) {
     EXPECT_FALSE(BatchedExecutionEnabled());
   }
   EXPECT_EQ(BatchedExecutionEnabled(), ambient);
+}
+
+// ---------- SIMD tier x execution mode ----------
+
+// The batched gate composes with the SIMD dispatch: a representative
+// training step (conv -> fused add+relu -> matmul -> normalize) gives the
+// same bits in its forward value and every leaf gradient at all four
+// {scalar, vector} x {serial, batched} combinations — across tiers, not
+// only between modes at one tier.
+TEST(BatchedKnobMatrixTest, TrainingStepBitIdenticalAcrossTiersAndModes) {
+  Rng rng(55);
+  const int64_t B = 3, Cin = 2, Cout = 4, K = 3, L = 24;
+  const std::vector<Var> leaves = {
+      Var(Tensor::Randn({B, Cin, L}, &rng), /*requires_grad=*/true),
+      Var(Tensor::Randn({Cout, Cin, K}, &rng), /*requires_grad=*/true),
+      Var(Tensor::Randn({Cout}, &rng), /*requires_grad=*/true),
+      Var(Tensor::Randn({Cout * L, 6}, &rng), /*requires_grad=*/true)};
+  const auto build = [](const std::vector<Var>& l) {
+    Var conv = Conv1d(l[0], l[1], l[2], /*dilation=*/2, /*pad_left=*/4,
+                      /*pad_right=*/0);
+    Var act = AddRelu(conv, conv);
+    const auto& s = act.shape();  // [B, Cout, L]: causal padding keeps L
+    return L2NormalizeLastDim(
+        MatMul(Reshape(act, {s[0], s[1] * s[2]}), l[3]));
+  };
+
+  std::vector<Tensor> reference;
+  {
+    simd::ScopedForceLevel scalar(simd::Level::kScalar);
+    reference = RunGraph(/*batched=*/false, leaves, build);
+  }
+  for (const bool vector_tier : {false, true}) {
+    if (vector_tier && !BestTierIsVector()) continue;
+    simd::ScopedForceLevel tier(vector_tier ? simd::HighestSupportedLevel()
+                                            : simd::Level::kScalar);
+    for (const bool batched : {false, true}) {
+      SCOPED_TRACE(std::string(vector_tier ? "vector" : "scalar") + "/" +
+                   (batched ? "batched" : "serial"));
+      const std::vector<Tensor> got = RunGraph(batched, leaves, build);
+      ASSERT_EQ(reference.size(), got.size());
+      for (size_t i = 0; i < reference.size(); ++i) {
+        ExpectBitEqual(reference[i], got[i],
+                       i == 0 ? "forward value" : "leaf gradient");
+      }
+    }
+  }
 }
 
 // ---------- kernel-level equivalence ----------

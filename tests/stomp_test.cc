@@ -26,9 +26,6 @@ std::vector<double> PlantedSeries(size_t n, double period, size_t anomaly_at,
 }
 
 TEST(StompTest, MatchesNaiveMatrixProfile) {
-  // Pinned to kF64: this compares against the double naive reference at a
-  // double tolerance, regardless of the process TRIAD_PRECISION tier.
-  simd::ScopedForcePrecision force_f64(simd::Precision::kF64);
   const std::vector<double> x = PlantedSeries(250, 25, 120, 25, 1);
   const int64_t m = 20;
   auto stomp = Stomp(x, m);
@@ -41,7 +38,6 @@ TEST(StompTest, MatchesNaiveMatrixProfile) {
 }
 
 TEST(StompTest, NeighbourIndicesAreValidAndNonTrivial) {
-  simd::ScopedForcePrecision force_f64(simd::Precision::kF64);
   const std::vector<double> x = PlantedSeries(300, 30, 150, 30, 2);
   const int64_t m = 25;
   auto stomp = Stomp(x, m);
@@ -79,49 +75,6 @@ TEST(StompTest, TopKDiscordsAreMutuallyExclusive) {
     for (size_t b = a + 1; b < top.size(); ++b) {
       EXPECT_GE(std::llabs(top[a] - top[b]), m);
     }
-  }
-}
-
-// ---------- float32 precision tier (ARCHITECTURE.md §12) ----------
-
-// The kF32 profile must sit inside the documented tolerance envelope of
-// the kF64 profile, and the verdict-level artifact (the top discord) must
-// be preserved. The 1e-3 absolute bound is generous relative to the
-// O(m·eps_f32) error of one distance row — the point is catching a wrong
-// kernel (or a double code path silently taken), not measuring ULPs; the
-// kernel-level ULP gates live in kernel_equivalence_test.cc.
-TEST(StompTest, F32ProfileMatchesF64WithinEnvelope) {
-  const std::vector<double> x = PlantedSeries(400, 25, 200, 25, 3);
-  const int64_t m = 25;
-  auto f64 = Stomp(x, m, simd::Precision::kF64);
-  auto f32 = Stomp(x, m, simd::Precision::kF32);
-  ASSERT_TRUE(f64.ok());
-  ASSERT_TRUE(f32.ok());
-  ASSERT_EQ(f32->distances.size(), f64->distances.size());
-  for (size_t i = 0; i < f64->distances.size(); ++i) {
-    EXPECT_NEAR(f32->distances[i], f64->distances[i], 1e-3) << i;
-  }
-  const auto top64 = TopDiscordsFromProfile(*f64, m, 1);
-  const auto top32 = TopDiscordsFromProfile(*f32, m, 1);
-  ASSERT_EQ(top64.size(), top32.size());
-  if (!top64.empty()) {
-    EXPECT_EQ(top64[0], top32[0]);
-  }
-}
-
-// Explicit-precision Stomp ignores the process tier: forcing the opposite
-// tier around the call must not change a single bit of the result.
-TEST(StompTest, ExplicitPrecisionWinsOverProcessTier) {
-  const std::vector<double> x = PlantedSeries(260, 25, 130, 25, 6);
-  const int64_t m = 20;
-  auto f64_plain = Stomp(x, m, simd::Precision::kF64);
-  ASSERT_TRUE(f64_plain.ok());
-  simd::ScopedForcePrecision force_f32(simd::Precision::kF32);
-  auto f64_under_f32 = Stomp(x, m, simd::Precision::kF64);
-  ASSERT_TRUE(f64_under_f32.ok());
-  for (size_t i = 0; i < f64_plain->distances.size(); ++i) {
-    EXPECT_EQ(f64_plain->distances[i], f64_under_f32->distances[i]) << i;
-    EXPECT_EQ(f64_plain->indices[i], f64_under_f32->indices[i]) << i;
   }
 }
 
